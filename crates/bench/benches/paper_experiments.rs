@@ -10,8 +10,9 @@ use std::hint::black_box;
 
 use dtf_core::ids::RunId;
 use dtf_core::rngx::RunRng;
+use dtf_perfrecup::lineage::Lineages;
 use dtf_perfrecup::phases::{PhaseBreakdown, PhaseSample};
-use dtf_perfrecup::{comm_scatter, io_timeline, lineage, parallel_coords, warnings_dist, RunViews};
+use dtf_perfrecup::{comm_scatter, io_timeline, parallel_coords, warnings_dist, RunViews};
 use dtf_wms::sim::{SimCluster, SimConfig};
 use dtf_wms::RunData;
 use dtf_workflows::Workload;
@@ -92,7 +93,8 @@ fn bench_fig7(c: &mut Criterion) {
     });
 }
 
-/// Fig. 8: lineage construction (single task and the fused I/O join).
+/// Fig. 8: lineage construction — the one-pass index, a single-key
+/// lookup against it, and the fused I/O join.
 fn bench_fig8(c: &mut Criterion) {
     let data = run_once(Workload::Xgboost, 42);
     let key = data
@@ -103,7 +105,9 @@ fn bench_fig8(c: &mut Criterion) {
         .expect("key exists");
     let mut g = c.benchmark_group("fig8_lineage");
     g.sample_size(20);
-    g.bench_function("single_task", |b| b.iter(|| black_box(lineage::build(&data, &key).unwrap())));
+    g.bench_function("index_build", |b| b.iter(|| black_box(Lineages::new(&data))));
+    let lineages = Lineages::new(&data);
+    g.bench_function("lookup", |b| b.iter(|| black_box(lineages.get(&key).unwrap())));
     g.bench_function("task_io_join", |b| {
         let views = RunViews::new(&data);
         b.iter(|| black_box(views.task_io()))

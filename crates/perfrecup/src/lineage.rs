@@ -7,92 +7,156 @@
 //! completion record, replicas from communication events naming the
 //! task's key, and I/O from Darshan records joined on
 //! `(pthread id, execution interval)`.
+//!
+//! [`Lineages`] indexes every source once, so bulk lineage
+//! ([`build_all`]) is one O((tasks + events + DXT records) · log DXT
+//! records) pass rather than a scan of every stream per task.
 
 use std::collections::HashMap;
 
 use dtf_core::error::{DtfError, Result};
-use dtf_core::ids::TaskKey;
+use dtf_core::events::{CommEvent, IoRecord, TaskDoneEvent, TaskMetaEvent, TransitionEvent};
+use dtf_core::ids::{TaskKey, ThreadId};
 use dtf_core::provenance::{LineageLocation, LineageTransition, TaskLineage};
 use dtf_wms::RunData;
 
-/// Build the lineage of `key` from one run's data.
-pub fn build(data: &RunData, key: &TaskKey) -> Result<TaskLineage> {
-    let meta = data
-        .meta
-        .iter()
-        .find(|m| &m.key == key)
-        .ok_or_else(|| DtfError::NotFound(format!("task {key} in meta stream")))?;
-
-    // dependents: inverted dependency index
-    let mut dependents = Vec::new();
-    for m in &data.meta {
-        if m.deps.contains(key) {
-            dependents.push(m.key.clone());
-        }
-    }
-
-    let states: Vec<LineageTransition> = data
-        .transitions
-        .iter()
-        .filter(|t| &t.key == key && !(t.from == t.to))
-        .map(|t| LineageTransition {
-            from: t.from,
-            to: t.to,
-            stimulus: t.stimulus,
-            location: t.location,
-            time: t.time,
-        })
-        .collect();
-
-    let done = data.task_done.iter().rfind(|d| &d.key == key);
-
-    let mut locations = Vec::new();
-    if let Some(d) = done {
-        locations.push(LineageLocation { worker: d.worker, thread: Some(d.thread), since: d.stop });
-    }
-    // replicas created by data movements of this key
-    let movements: Vec<_> = data.comms.iter().filter(|c| &c.key == key).cloned().collect();
-    for m in &movements {
-        locations.push(LineageLocation { worker: m.to, thread: None, since: m.stop });
-    }
-
-    // I/O performed during this task's execution, joined on thread id +
-    // interval
-    let mut io = Vec::new();
-    if let Some(d) = done {
-        for r in data.darshan.all_records() {
-            if r.thread == d.thread && r.start >= d.start && r.start <= d.stop {
-                io.push(r.clone());
-            }
-        }
-    }
-
-    Ok(TaskLineage {
-        key: Some(key.clone()),
-        graph: Some(meta.graph),
-        client: Some(meta.client),
-        submitted: Some(meta.submitted),
-        dependencies: meta.deps.clone(),
-        dependents,
-        states,
-        locations,
-        movements,
-        io,
-        output_nbytes: done.map(|d| d.nbytes),
-        start: done.map(|d| d.start),
-        stop: done.map(|d| d.stop),
-    })
+/// Per-key slice of the index, each list in stream order.
+#[derive(Default)]
+struct KeyIndex<'a> {
+    /// The key's first task-meta record.
+    meta: Option<&'a TaskMetaEvent>,
+    /// Meta records naming the key as a dependency, once per record.
+    dependents: Vec<&'a TaskMetaEvent>,
+    /// Transitions that change the key's state.
+    states: Vec<&'a TransitionEvent>,
+    /// The key's last completion record.
+    done: Option<&'a TaskDoneEvent>,
+    /// Movements of the key's output between workers.
+    comms: Vec<&'a CommEvent>,
 }
 
-/// Build lineages for every completed task (bulk provenance export).
-pub fn build_all(data: &RunData) -> HashMap<TaskKey, TaskLineage> {
-    let mut out = HashMap::new();
-    for m in &data.meta {
-        if let Ok(l) = build(data, &m.key) {
-            out.insert(m.key.clone(), l);
+/// Lineage index over one run: built by one scan of each stream, then
+/// answers [`Lineages::get`] per key without rescanning.
+pub struct Lineages<'a> {
+    keys: HashMap<&'a TaskKey, KeyIndex<'a>>,
+    /// DXT records per thread as `(scan position, record)`, sorted by
+    /// `(start, scan position)`.
+    io: HashMap<ThreadId, Vec<(usize, &'a IoRecord)>>,
+}
+
+impl<'a> Lineages<'a> {
+    /// Index every stream of `data` once.
+    pub fn new(data: &'a RunData) -> Self {
+        let mut keys: HashMap<&TaskKey, KeyIndex> = HashMap::new();
+        for m in &data.meta {
+            keys.entry(&m.key).or_default().meta.get_or_insert(m);
         }
+        for m in &data.meta {
+            for dep in &m.deps {
+                if let Some(ix) = keys.get_mut(dep) {
+                    if !ix.dependents.last().is_some_and(|last| std::ptr::eq(*last, m)) {
+                        ix.dependents.push(m);
+                    }
+                }
+            }
+        }
+        for t in data.transitions.iter().filter(|t| t.from != t.to) {
+            if let Some(ix) = keys.get_mut(&t.key) {
+                ix.states.push(t);
+            }
+        }
+        for d in &data.task_done {
+            if let Some(ix) = keys.get_mut(&d.key) {
+                ix.done = Some(d);
+            }
+        }
+        for c in &data.comms {
+            if let Some(ix) = keys.get_mut(&c.key) {
+                ix.comms.push(c);
+            }
+        }
+        let mut io: HashMap<ThreadId, Vec<(usize, &IoRecord)>> = HashMap::new();
+        for (pos, r) in data.darshan.all_records().enumerate() {
+            io.entry(r.thread).or_default().push((pos, r));
+        }
+        for records in io.values_mut() {
+            // stable: equal starts keep scan order
+            records.sort_by_key(|(_, r)| r.start);
+        }
+        Self { keys, io }
     }
-    out
+
+    /// The lineage of `key`; `NotFound` when the meta stream never names it.
+    pub fn get(&self, key: &TaskKey) -> Result<TaskLineage> {
+        self.keys
+            .get(key)
+            .and_then(|ix| self.lineage(ix))
+            .ok_or_else(|| DtfError::NotFound(format!("task {key} in meta stream")))
+    }
+
+    fn lineage(&self, ix: &KeyIndex<'a>) -> Option<TaskLineage> {
+        let meta = ix.meta?;
+        let done = ix.done;
+        let states = ix
+            .states
+            .iter()
+            .map(|t| LineageTransition {
+                from: t.from,
+                to: t.to,
+                stimulus: t.stimulus,
+                location: t.location,
+                time: t.time,
+            })
+            .collect();
+        // the compute location, then replicas created by data movements
+        let locations = done
+            .map(|d| LineageLocation { worker: d.worker, thread: Some(d.thread), since: d.stop })
+            .into_iter()
+            .chain(ix.comms.iter().map(|c| LineageLocation {
+                worker: c.to,
+                thread: None,
+                since: c.stop,
+            }))
+            .collect();
+        Some(TaskLineage {
+            key: Some(meta.key.clone()),
+            graph: Some(meta.graph),
+            client: Some(meta.client),
+            submitted: Some(meta.submitted),
+            dependencies: meta.deps.clone(),
+            dependents: ix.dependents.iter().map(|m| m.key.clone()).collect(),
+            states,
+            locations,
+            movements: ix.comms.iter().map(|&c| c.clone()).collect(),
+            io: done.map(|d| self.io_during(d)).unwrap_or_default(),
+            output_nbytes: done.map(|d| d.nbytes),
+            start: done.map(|d| d.start),
+            stop: done.map(|d| d.stop),
+        })
+    }
+
+    /// I/O performed during `d`'s execution, joined on thread id +
+    /// interval, in scan order.
+    fn io_during(&self, d: &TaskDoneEvent) -> Vec<IoRecord> {
+        let Some(records) = self.io.get(&d.thread) else { return Vec::new() };
+        let lo = records.partition_point(|(_, r)| r.start < d.start);
+        let hi = records.partition_point(|(_, r)| r.start <= d.stop);
+        let mut hits = records.get(lo..hi).unwrap_or_default().to_vec();
+        hits.sort_unstable_by_key(|&(pos, _)| pos);
+        hits.into_iter().map(|(_, r)| r.clone()).collect()
+    }
+}
+
+/// Build the lineage of `key` from one run's data.
+pub fn build(data: &RunData, key: &TaskKey) -> Result<TaskLineage> {
+    Lineages::new(data).get(key)
+}
+
+/// Build lineages for every task in the meta stream (bulk provenance
+/// export).
+pub fn build_all(data: &RunData) -> HashMap<TaskKey, TaskLineage> {
+    let index = Lineages::new(data);
+    index.keys.iter().filter_map(|(&key, ix)| Some((key.clone(), index.lineage(ix)?))).collect()
 }
 
 #[cfg(test)]

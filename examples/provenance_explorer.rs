@@ -10,7 +10,7 @@
 
 use dtf::core::ids::RunId;
 use dtf::core::rngx::RunRng;
-use dtf::perfrecup::lineage;
+use dtf::perfrecup::lineage::Lineages;
 use dtf::wms::sim::{SimCluster, SimConfig};
 use dtf::workflows::Workload;
 
@@ -42,8 +42,9 @@ fn main() {
         return;
     }
 
+    let lineages = Lineages::new(&data);
     for key in keys {
-        let l = lineage::build(&data, &key).expect("lineage builds");
+        let l = lineages.get(&key).expect("lineage builds");
         assert!(l.is_consistent(), "lineage state chain is ordered and linked");
         println!("\n=== provenance of {key} ===");
         println!("  graph {} submitted at {}", l.graph.unwrap(), l.submitted.unwrap());
@@ -79,7 +80,7 @@ fn main() {
 
     println!("\nfull-JSON form of one lineage (what Fig. 8 renders):");
     let any = data.meta.iter().find(|m| m.key.prefix == prefix).unwrap();
-    let l = lineage::build(&data, &any.key).unwrap();
+    let l = lineages.get(&any.key).unwrap();
     let json = l.to_pretty_json();
     // print just the head to keep the demo readable
     for line in json.lines().take(25) {
