@@ -3,13 +3,15 @@
 //! One group per experiment. The generation benches (`table1_*`) measure a
 //! full single run of each workload — simulation, Mofka streaming, Darshan
 //! collection, and fusion. The analysis benches (`fig*`) measure the
-//! analysis kernels over a precomputed run, i.e. the PERFRECUP side.
+//! analysis kernels over a precomputed run, i.e. the PERFRECUP side, and
+//! `export` the FAIR archive written from one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use dtf_core::ids::RunId;
 use dtf_core::rngx::RunRng;
+use dtf_perfrecup::export::export_run;
 use dtf_perfrecup::lineage::Lineages;
 use dtf_perfrecup::phases::{PhaseBreakdown, PhaseSample};
 use dtf_perfrecup::{comm_scatter, io_timeline, parallel_coords, warnings_dist, RunViews};
@@ -115,6 +117,16 @@ fn bench_fig8(c: &mut Criterion) {
     g.finish();
 }
 
+/// §V FAIR archive: `export_run` of a full XGBoost run into a scratch
+/// directory — every CSV view streamed, the chart, manifest and Darshan
+/// logs.
+fn bench_export(c: &mut Criterion) {
+    let data = run_once(Workload::Xgboost, 42);
+    let dir = std::env::temp_dir().join(format!("dtf-bench-export-{}", std::process::id()));
+    c.bench_function("export_csv", |b| b.iter(|| black_box(export_run(&data, &dir).unwrap())));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     experiments,
     bench_table1,
@@ -123,6 +135,7 @@ criterion_group!(
     bench_fig5,
     bench_fig6,
     bench_fig7,
-    bench_fig8
+    bench_fig8,
+    bench_export
 );
 criterion_main!(experiments);

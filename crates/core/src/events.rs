@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ClientId, FileId, GraphId, NodeId, TaskKey, ThreadId, WorkerId};
-use crate::table::{Tabular, Value};
+use crate::table::{CellSink, Tabular};
 use crate::time::{Dur, Time};
 
 /// Scheduler-side task states, mirroring Dask's scheduler state machine.
@@ -159,16 +159,14 @@ impl Tabular for WorkerTransitionEvent {
         vec!["key", "prefix", "graph", "worker", "from", "to", "time_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::Str(self.worker.address()),
-            Value::Str(self.from.as_str().to_string()),
-            Value::Str(self.to.as_str().to_string()),
-            Value::F64(self.time.as_secs_f64()),
-        ]
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        out.fmt(format_args!("{}", self.key));
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.fmt(format_args!("{}", self.worker));
+        out.str(self.from.as_str());
+        out.str(self.to.as_str());
+        out.f64(self.time.as_secs_f64());
     }
 }
 
@@ -255,16 +253,14 @@ impl Tabular for TaskMetaEvent {
         vec!["key", "group", "prefix", "graph", "client", "n_deps", "submitted_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.group()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::Str(self.client.to_string()),
-            Value::U64(self.deps.len() as u64),
-            Value::F64(self.submitted.as_secs_f64()),
-        ]
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        out.fmt(format_args!("{}", self.key));
+        out.fmt(format_args!("{}", self.key.group_display()));
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.fmt(format_args!("{}", self.client));
+        out.u64(self.deps.len() as u64);
+        out.f64(self.submitted.as_secs_f64());
     }
 }
 
@@ -419,21 +415,19 @@ impl Tabular for TransitionEvent {
         vec!["key", "group", "prefix", "graph", "from", "to", "stimulus", "location", "time_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.group()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::Str(self.from.as_str().to_string()),
-            Value::Str(self.to.as_str().to_string()),
-            Value::Str(self.stimulus.as_str().to_string()),
-            Value::Str(match self.location {
-                Location::Scheduler => "scheduler".to_string(),
-                Location::Worker(w) => w.address(),
-            }),
-            Value::F64(self.time.as_secs_f64()),
-        ]
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        out.fmt(format_args!("{}", self.key));
+        out.fmt(format_args!("{}", self.key.group_display()));
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.str(self.from.as_str());
+        out.str(self.to.as_str());
+        out.str(self.stimulus.as_str());
+        match self.location {
+            Location::Scheduler => out.str("scheduler"),
+            Location::Worker(w) => out.fmt(format_args!("{w}")),
+        }
+        out.f64(self.time.as_secs_f64());
     }
 }
 
@@ -454,20 +448,18 @@ impl Tabular for TaskDoneEvent {
         ]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.group()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::Str(self.worker.address()),
-            Value::Str(self.worker.node.hostname()),
-            Value::U64(self.thread.0),
-            Value::F64(self.start.as_secs_f64()),
-            Value::F64(self.stop.as_secs_f64()),
-            Value::F64(self.duration().as_secs_f64()),
-            Value::U64(self.nbytes),
-        ]
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        out.fmt(format_args!("{}", self.key));
+        out.fmt(format_args!("{}", self.key.group_display()));
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.fmt(format_args!("{}", self.worker));
+        out.fmt(format_args!("{}", self.worker.node));
+        out.u64(self.thread.0);
+        out.f64(self.start.as_secs_f64());
+        out.f64(self.stop.as_secs_f64());
+        out.f64(self.duration().as_secs_f64());
+        out.u64(self.nbytes);
     }
 }
 
@@ -476,17 +468,15 @@ impl Tabular for CommEvent {
         vec!["key", "from", "to", "same_node", "nbytes", "start_s", "stop_s", "duration_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.key.to_string()),
-            Value::Str(self.from.address()),
-            Value::Str(self.to.address()),
-            Value::Bool(self.same_node()),
-            Value::U64(self.nbytes),
-            Value::F64(self.start.as_secs_f64()),
-            Value::F64(self.stop.as_secs_f64()),
-            Value::F64(self.duration().as_secs_f64()),
-        ]
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        out.fmt(format_args!("{}", self.key));
+        out.fmt(format_args!("{}", self.from));
+        out.fmt(format_args!("{}", self.to));
+        out.bool(self.same_node());
+        out.u64(self.nbytes);
+        out.f64(self.start.as_secs_f64());
+        out.f64(self.stop.as_secs_f64());
+        out.f64(self.duration().as_secs_f64());
     }
 }
 
@@ -506,19 +496,17 @@ impl Tabular for IoRecord {
         ]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.host.hostname()),
-            Value::Str(self.worker.address()),
-            Value::U64(self.thread.0),
-            Value::U64(self.file.0),
-            Value::Str(self.op.as_str().to_string()),
-            Value::U64(self.offset),
-            Value::U64(self.size),
-            Value::F64(self.start.as_secs_f64()),
-            Value::F64(self.stop.as_secs_f64()),
-            Value::F64(self.duration().as_secs_f64()),
-        ]
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        out.fmt(format_args!("{}", self.host));
+        out.fmt(format_args!("{}", self.worker));
+        out.u64(self.thread.0);
+        out.u64(self.file.0);
+        out.str(self.op.as_str());
+        out.u64(self.offset);
+        out.u64(self.size);
+        out.f64(self.start.as_secs_f64());
+        out.f64(self.stop.as_secs_f64());
+        out.f64(self.duration().as_secs_f64());
     }
 }
 
@@ -527,13 +515,14 @@ impl Tabular for WarningEvent {
         vec!["kind", "worker", "time_s", "duration_s"]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.kind.as_str().to_string()),
-            Value::Str(self.worker.map(|w| w.address()).unwrap_or_else(|| "scheduler".into())),
-            Value::F64(self.time.as_secs_f64()),
-            Value::F64(self.duration.as_secs_f64()),
-        ]
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        out.str(self.kind.as_str());
+        match self.worker {
+            Some(w) => out.fmt(format_args!("{w}")),
+            None => out.str("scheduler"),
+        }
+        out.f64(self.time.as_secs_f64());
+        out.f64(self.duration.as_secs_f64());
     }
 }
 
@@ -610,19 +599,20 @@ impl Tabular for ProxyEvent {
         ]
     }
 
-    fn row(&self) -> Vec<Value> {
-        vec![
-            Value::Str(self.action.as_str().to_string()),
-            Value::Str(self.key.to_string()),
-            Value::Str(self.key.prefix.as_str().to_string()),
-            Value::U64(self.graph.0 as u64),
-            Value::U64(self.size),
-            Value::Str(self.owner.address()),
-            Value::U64(self.checksum),
-            Value::U64(self.generation as u64),
-            Value::Str(self.worker.map(|w| w.address()).unwrap_or_else(|| "-".into())),
-            Value::F64(self.time.as_secs_f64()),
-        ]
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        out.str(self.action.as_str());
+        out.fmt(format_args!("{}", self.key));
+        out.str(self.key.prefix.as_str());
+        out.u64(self.graph.0 as u64);
+        out.u64(self.size);
+        out.fmt(format_args!("{}", self.owner));
+        out.u64(self.checksum);
+        out.u64(self.generation as u64);
+        match self.worker {
+            Some(w) => out.fmt(format_args!("{w}")),
+            None => out.str("-"),
+        }
+        out.f64(self.time.as_secs_f64());
     }
 }
 

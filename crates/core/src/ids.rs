@@ -195,7 +195,18 @@ impl TaskKey {
     /// The task *group* name: prefix plus token, shared by all chunks of one
     /// collection operation.
     pub fn group(&self) -> String {
-        format!("{}-{:06x}", self.prefix, self.token)
+        self.group_display().to_string()
+    }
+
+    /// [`Self::group`] as a `Display`, for rendering without allocating.
+    pub fn group_display(&self) -> impl fmt::Display + '_ {
+        struct Group<'a>(&'a TaskKey);
+        impl fmt::Display for Group<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "{}-{:06x}", self.0.prefix, self.0.token)
+            }
+        }
+        Group(self)
     }
 
     /// Stream the compact JSON rendering of this key — exactly the bytes
@@ -223,13 +234,13 @@ pub struct NodeId(pub u32);
 impl NodeId {
     /// Hostname as recorded in logs (e.g. `nid0003`, Polaris-style).
     pub fn hostname(&self) -> String {
-        format!("nid{:04}", self.0)
+        self.to_string()
     }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.hostname())
+        write!(f, "nid{:04}", self.0)
     }
 }
 
@@ -250,13 +261,13 @@ impl WorkerId {
 
     /// Synthetic `ip:port` address, the identifier Dask uses in its logs.
     pub fn address(&self) -> String {
-        format!("10.0.{}.{}:{}", self.node.0 / 256, self.node.0 % 256, 40000 + self.slot)
+        self.to_string()
     }
 }
 
 impl fmt::Display for WorkerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.address())
+        write!(f, "10.0.{}.{}:{}", self.node.0 / 256, self.node.0 % 256, 40000 + self.slot)
     }
 }
 

@@ -270,12 +270,90 @@ impl From<String> for Value {
     }
 }
 
+/// Receiver of one record's typed cells, in schema order.
+///
+/// [`Tabular::emit`] writes through this, so one projection per record
+/// type feeds both the [`Value`] rows of the analysis frames ([`Values`])
+/// and the streamed CSV export, which encodes each cell straight into its
+/// output line without building a `Value` or a `String` per cell.
+pub trait CellSink {
+    fn str(&mut self, s: &str);
+    fn u64(&mut self, v: u64);
+    fn i64(&mut self, v: i64);
+    fn f64(&mut self, v: f64);
+    fn bool(&mut self, v: bool);
+    fn null(&mut self);
+    /// A string cell rendered from format arguments (a task key, a worker
+    /// address), so the sink decides whether it needs an owned `String`.
+    fn fmt(&mut self, args: fmt::Arguments<'_>);
+}
+
+/// A [`CellSink`] that turns every cell into a [`Value`] and hands it to
+/// the wrapped closure.
+pub struct Values<F>(pub F);
+
+impl<F: FnMut(Value)> CellSink for Values<F> {
+    fn str(&mut self, s: &str) {
+        (self.0)(Value::Str(s.to_string()))
+    }
+    fn u64(&mut self, v: u64) {
+        (self.0)(Value::U64(v))
+    }
+    fn i64(&mut self, v: i64) {
+        (self.0)(Value::I64(v))
+    }
+    fn f64(&mut self, v: f64) {
+        (self.0)(Value::F64(v))
+    }
+    fn bool(&mut self, v: bool) {
+        (self.0)(Value::Bool(v))
+    }
+    fn null(&mut self) {
+        (self.0)(Value::Null)
+    }
+    fn fmt(&mut self, args: fmt::Arguments<'_>) {
+        (self.0)(Value::Str(fmt::format(args)))
+    }
+}
+
+impl Value {
+    /// Feed this cell to `out` as its typed variant.
+    pub fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::I64(v) => out.i64(*v),
+            Value::U64(v) => out.u64(*v),
+            Value::F64(v) => out.f64(*v),
+            Value::Str(s) => out.str(s),
+        }
+    }
+}
+
 /// Types that project into the common tabular format.
 pub trait Tabular {
     /// Column names, fixed per type.
     fn schema() -> Vec<&'static str>;
-    /// One row; must have exactly `schema().len()` values.
-    fn row(&self) -> Vec<Value>;
+    /// Emit one record's cells into `out`: exactly `schema().len()` of
+    /// them, in schema order. This is the type's only projection.
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S);
+    /// One row as [`Value`]s.
+    fn row(&self) -> Vec<Value> {
+        let mut row = Vec::new();
+        self.emit(&mut Values(|v| row.push(v)));
+        row
+    }
+}
+
+/// A reference projects like the record it points to, so borrowed
+/// records stream without cloning.
+impl<T: Tabular + ?Sized> Tabular for &T {
+    fn schema() -> Vec<&'static str> {
+        T::schema()
+    }
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        (**self).emit(out)
+    }
 }
 
 /// Aggregation kinds an [`Accumulator`] supports. `Sum` keeps an exact

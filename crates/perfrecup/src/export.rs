@@ -6,29 +6,63 @@
 //! every view as CSV (the common tabular format), the provenance chart and
 //! run manifest as JSON, and the Darshan logs in their binary format.
 
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
 
 use dtf_core::error::{DtfError, Result};
 use dtf_wms::RunData;
 
+use crate::csv::write_records;
 use crate::views::RunViews;
 
-/// Files written by [`export_run`].
-pub const CSV_VIEWS: [&str; 7] = [
-    "tasks.csv",
-    "task_meta.csv",
-    "transitions.csv",
-    "worker_transitions.csv",
-    "comms.csv",
-    "io.csv",
-    "warnings.csv",
+/// Streams one view of a run as CSV.
+type ViewWriter = fn(&RunViews<'_>, &mut BufWriter<File>) -> io::Result<()>;
+
+/// Every CSV file of the bundle with the records it holds, in write order.
+const VIEWS: [(&str, ViewWriter); 8] = [
+    ("tasks.csv", |v, w| write_records(&v.data.task_done, w)),
+    ("task_meta.csv", |v, w| write_records(&v.data.meta, w)),
+    ("transitions.csv", |v, w| write_records(&v.data.transitions, w)),
+    ("worker_transitions.csv", |v, w| write_records(&v.data.worker_transitions, w)),
+    ("comms.csv", |v, w| write_records(&v.data.comms, w)),
+    ("io.csv", |v, w| write_records(v.data.darshan.all_records(), w)),
+    ("warnings.csv", |v, w| write_records(&v.data.warnings, w)),
+    // the fused task<->I/O view, the paper's headline join
+    ("task_io.csv", |v, w| write_records(v.io_tasks(), w)),
 ];
 
-fn write(path: &Path, bytes: &[u8]) -> Result<()> {
-    let mut f = std::fs::File::create(path)
-        .map_err(|e| DtfError::Io(format!("create {}: {e}", path.display())))?;
-    f.write_all(bytes).map_err(|e| DtfError::Io(format!("write {}: {e}", path.display())))
+/// CSV files written by [`export_run`].
+pub const CSV_VIEWS: [&str; VIEWS.len()] = {
+    let mut names = [""; VIEWS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = VIEWS[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// Fill `inner` through a buffer, then flush it explicitly: a final write
+/// that fails is returned, not discarded as `BufWriter`'s drop would.
+fn buffered<W: io::Write>(
+    inner: W,
+    fill: impl FnOnce(&mut BufWriter<W>) -> io::Result<()>,
+) -> io::Result<W> {
+    let mut w = BufWriter::with_capacity(1 << 16, inner);
+    fill(&mut w)?;
+    w.into_inner().map_err(io::IntoInnerError::into_error)
+}
+
+/// Create `path` and fill it; any failure is an error naming the file.
+fn write_file(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<()> {
+    let io_err = |what: &str, e: io::Error| DtfError::Io(format!("{what} {}: {e}", path.display()));
+    let file = File::create(path).map_err(|e| io_err("create", e))?;
+    buffered(file, fill).map_err(|e| io_err("write", e))?;
+    Ok(())
 }
 
 /// Export everything collected from `data` into `dir` (created if absent).
@@ -39,28 +73,15 @@ pub fn export_run(data: &RunData, dir: &Path) -> Result<usize> {
     let views = RunViews::new(data);
     let mut written = 0;
 
-    for (name, df) in [
-        ("tasks.csv", views.tasks()),
-        ("task_meta.csv", views.meta()),
-        ("transitions.csv", views.transitions()),
-        ("worker_transitions.csv", views.worker_transitions()),
-        ("comms.csv", views.comms()),
-        ("io.csv", views.io()),
-        ("warnings.csv", views.warnings()),
-    ] {
-        write(&dir.join(name), df.to_csv().as_bytes())?;
+    // every view streamed record by record, no frame in between
+    for (name, view) in VIEWS {
+        write_file(&dir.join(name), |w| view(&views, w))?;
         written += 1;
     }
 
-    // the fused task<->I/O view, the paper's headline join
-    write(&dir.join("task_io.csv"), views.task_io().to_csv().as_bytes())?;
-    written += 1;
-
     // provenance chart (layers 1-2) and run manifest
-    write(
-        &dir.join("provenance_chart.json"),
-        serde_json::to_string_pretty(&data.chart)?.as_bytes(),
-    )?;
+    let chart = serde_json::to_string_pretty(&data.chart)?;
+    write_file(&dir.join("provenance_chart.json"), |w| w.write_all(chart.as_bytes()))?;
     written += 1;
     let manifest = serde_json::json!({
         "run": data.run.to_string(),
@@ -82,13 +103,14 @@ pub fn export_run(data: &RunData, dir: &Path) -> Result<usize> {
             "workers": ["address", "host"],
         },
     });
-    write(&dir.join("manifest.json"), serde_json::to_string_pretty(&manifest)?.as_bytes())?;
+    let manifest = serde_json::to_string_pretty(&manifest)?;
+    write_file(&dir.join("manifest.json"), |w| w.write_all(manifest.as_bytes()))?;
     written += 1;
 
     // per-process Darshan logs in their binary format
     for log in &data.darshan.logs {
         let name = format!("darshan_{}.dtflog", log.header.worker.address().replace(':', "_"));
-        write(&dir.join(name), &log.to_bytes())?;
+        write_file(&dir.join(name), |w| w.write_all(&log.to_bytes()))?;
         written += 1;
     }
     Ok(written)
@@ -142,6 +164,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let n = export_run(&data, &dir).unwrap();
         // 7 views + task_io + chart + manifest + 8 worker logs
+        assert_eq!(CSV_VIEWS.len(), 8);
         assert_eq!(n, 18);
         for f in CSV_VIEWS {
             let content = std::fs::read_to_string(dir.join(f)).unwrap();
@@ -165,5 +188,33 @@ mod tests {
         let bytes = std::fs::read(any_log.path()).unwrap();
         assert!(DarshanLog::from_bytes(&bytes).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_view_write_is_an_error_naming_the_file() {
+        let data = run();
+        let dir = std::env::temp_dir().join(format!("dtf-export-blocked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("tasks.csv")).unwrap();
+        let err = export_run(&data, &dir).expect_err("tasks.csv is a directory");
+        assert!(matches!(err, DtfError::Io(_)), "{err:?}");
+        assert!(err.to_string().contains("tasks.csv"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_final_flush_is_returned() {
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        // the row fits the buffer, so only the final flush reaches `Full`
+        let err = buffered(Full, |w| w.write_all(b"key,prefix\n")).err().expect("flush fails");
+        assert_eq!(err.to_string(), "disk full");
     }
 }

@@ -7,7 +7,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dtf_core::error::{DtfError, Result};
-use dtf_core::table::{AccKind, Accumulator, Tabular, Value, ValueKey};
+use dtf_core::table::{AccKind, Accumulator, Tabular, Value, ValueKey, Values};
+
+use crate::csv::CsvBuf;
 
 /// Column-major table with string column names.
 ///
@@ -45,13 +47,20 @@ impl DataFrame {
         Self { names, columns }
     }
 
-    /// Build from any slice of records in the common tabular format.
-    pub fn from_tabular<T: Tabular>(records: &[T]) -> Self {
+    /// Build from records in the common tabular format (owned or
+    /// borrowed); each record's cells go straight into their columns.
+    pub fn from_tabular<T: Tabular>(records: impl IntoIterator<Item = T>) -> Self {
         let names: Vec<String> = T::schema().into_iter().map(str::to_string).collect();
         let mut df = DataFrame::new(names);
-        df.reserve(records.len());
+        let records = records.into_iter();
+        df.reserve(records.size_hint().0);
         for r in records {
-            df.push_row(r.row()).expect("schema-conforming row");
+            let mut width = 0;
+            r.emit(&mut Values(|v| {
+                df.columns[width].push(v);
+                width += 1;
+            }));
+            assert_eq!(width, df.names.len(), "schema-conforming row");
         }
         df
     }
@@ -270,32 +279,18 @@ impl DataFrame {
         Ok(())
     }
 
-    /// Add a computed column.
-    pub fn with_column<F: Fn(usize) -> Value>(&mut self, name: &str, f: F) {
-        let vals: Vec<Value> = (0..self.n_rows()).map(f).collect();
-        self.names.push(name.to_string());
-        self.columns.push(vals);
-    }
-
-    /// Render as CSV (RFC-4180-style quoting) — the archival form of the
-    /// common tabular format.
+    /// Render as CSV — the archival form of the common tabular format,
+    /// encoded cell by cell from the columns in place (see [`crate::csv`]).
     pub fn to_csv(&self) -> String {
-        fn field(s: String) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&self.names.iter().map(|n| field(n.clone())).collect::<Vec<_>>().join(","));
-        out.push('\n');
+        let mut out = CsvBuf::default();
+        out.header(self.names.iter().map(String::as_str));
         for i in 0..self.n_rows() {
-            let row: Vec<String> = self.row(i).iter().map(|v| field(v.to_string())).collect();
-            out.push_str(&row.join(","));
-            out.push('\n');
+            for col in &self.columns {
+                col[i].emit(&mut out);
+            }
+            out.end_row();
         }
-        out
+        out.into_string()
     }
 }
 
@@ -692,14 +687,6 @@ mod tests {
         assert_eq!(a.n_rows(), 6);
         let bad = DataFrame::new(vec!["z".into()]);
         assert!(a.concat(&bad).is_err());
-    }
-
-    #[test]
-    fn with_column_computes() {
-        let mut d = df();
-        let xs = d.col_f64("x").unwrap();
-        d.with_column("x2", |i| Value::F64(xs[i] * 2.0));
-        assert_eq!(d.col_f64("x2").unwrap(), vec![20.0, 40.0, 60.0]);
     }
 
     #[test]

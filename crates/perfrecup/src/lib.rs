@@ -24,7 +24,8 @@
 //! * [`category`] — per-task-category statistics and cross-run variability.
 //! * [`utilization`] — per-worker busy-fraction timelines and imbalance.
 //! * [`zoom`] — time-window event extraction and utilization timelines.
-//! * [`export`] — FAIR archival export of a run (CSV views + JSON manifests).
+//! * [`export`] — FAIR archival export of a run (CSV views + JSON manifests),
+//!   streamed record by record through the [`csv`] encoder.
 //! * [`archive`] — post-hoc entry point: reopen a persisted store
 //!   directory (dtf-store backed) and analyze it like a live run.
 //! * [`live`] — online incremental view maintenance: a Mofka consumer
@@ -36,6 +37,7 @@
 pub mod archive;
 pub mod category;
 pub mod comm_scatter;
+pub mod csv;
 pub mod data_movement;
 pub mod export;
 pub mod frame;

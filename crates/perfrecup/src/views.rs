@@ -11,12 +11,43 @@
 
 use std::collections::HashMap;
 
+use dtf_core::events::IoRecord;
 use dtf_core::ids::{TaskKey, ThreadId};
-use dtf_core::table::Value;
+use dtf_core::table::{CellSink, Tabular, Value};
 use dtf_core::time::Time;
 use dtf_wms::RunData;
 
 use crate::frame::DataFrame;
+
+/// One traced I/O operation joined to the task that issued it: a row of
+/// the fused task↔I/O view.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskIo<'a> {
+    pub io: &'a IoRecord,
+    pub task: Option<&'a TaskKey>,
+}
+
+impl Tabular for TaskIo<'_> {
+    fn schema() -> Vec<&'static str> {
+        let mut schema = IoRecord::schema();
+        schema.extend(["key", "prefix"]);
+        schema
+    }
+
+    fn emit<S: CellSink + ?Sized>(&self, out: &mut S) {
+        self.io.emit(out);
+        match self.task {
+            Some(key) => {
+                out.fmt(format_args!("{key}"));
+                out.str(key.prefix.as_str());
+            }
+            None => {
+                out.null();
+                out.null();
+            }
+        }
+    }
+}
 
 /// Lazily built DataFrame views over one run.
 pub struct RunViews<'a> {
@@ -57,8 +88,7 @@ impl<'a> RunViews<'a> {
 
     /// Traced I/O operations across all workers' Darshan logs.
     pub fn io(&self) -> DataFrame {
-        let records: Vec<_> = self.data.darshan.all_records().cloned().collect();
-        DataFrame::from_tabular(&records)
+        DataFrame::from_tabular(self.data.darshan.all_records())
     }
 
     /// Runtime warnings.
@@ -66,11 +96,12 @@ impl<'a> RunViews<'a> {
         DataFrame::from_tabular(&self.data.warnings)
     }
 
-    /// The fused task↔I/O view: every traced I/O operation attributed to
-    /// the task that issued it, joined on `(pthread id, time interval)`.
-    /// I/O that matches no task (e.g. thread ids scrubbed by vanilla DXT)
-    /// gets a `Null` key.
-    pub fn task_io(&self) -> DataFrame {
+    /// Every traced I/O operation, in `darshan.all_records()` order, with
+    /// the task that issued it: the task executing on the same pthread at
+    /// the operation's start. Operations that match no task (e.g. thread
+    /// ids scrubbed by vanilla DXT) get `None`. This is the join behind
+    /// both [`Self::task_io`] and the exported `task_io.csv`.
+    pub fn io_tasks(&self) -> impl Iterator<Item = TaskIo<'a>> {
         // index tasks by thread, sorted by start time
         let mut by_thread: HashMap<ThreadId, Vec<(Time, Time, &TaskKey)>> = HashMap::new();
         for d in &self.data.task_done {
@@ -79,37 +110,22 @@ impl<'a> RunViews<'a> {
         for v in by_thread.values_mut() {
             v.sort_by_key(|(s, _, _)| *s);
         }
-        let mut df = self.io();
-        let starts = df.col_f64("start_s").expect("io view has start_s");
-        let threads: Vec<u64> = df
-            .col("thread")
-            .expect("io view has thread")
-            .iter()
-            .map(|v| v.as_u64().unwrap_or(0))
-            .collect();
-        let mut keys = Vec::with_capacity(df.n_rows());
-        let mut prefixes = Vec::with_capacity(df.n_rows());
-        for i in 0..df.n_rows() {
-            let t = Time::from_secs_f64(starts[i]);
-            let found = by_thread.get(&ThreadId(threads[i])).and_then(|intervals| {
+        self.data.darshan.all_records().map(move |io| {
+            // the start as the io view's `start_s` column holds it
+            let t = Time::from_secs_f64(io.start.as_secs_f64());
+            let task = by_thread.get(&io.thread).and_then(|intervals| {
                 // last interval starting at or before t
                 let idx = intervals.partition_point(|(s, _, _)| *s <= t);
-                intervals[..idx].iter().rev().find(|(_, stop, _)| *stop >= t)
+                intervals[..idx].iter().rev().find(|(_, stop, _)| *stop >= t).map(|(_, _, k)| *k)
             });
-            match found {
-                Some((_, _, key)) => {
-                    keys.push(Value::Str(key.to_string()));
-                    prefixes.push(Value::Str(key.prefix.as_str().to_string()));
-                }
-                None => {
-                    keys.push(Value::Null);
-                    prefixes.push(Value::Null);
-                }
-            }
-        }
-        df.with_column("key", |i| keys[i].clone());
-        df.with_column("prefix", |i| prefixes[i].clone());
-        df
+            TaskIo { io, task }
+        })
+    }
+
+    /// The fused task↔I/O view: the io view plus the issuing task's `key`
+    /// and `prefix` ([`Self::io_tasks`]), `Null` where none matched.
+    pub fn task_io(&self) -> DataFrame {
+        DataFrame::from_tabular(self.io_tasks())
     }
 
     /// Fraction of traced I/O operations successfully attributed to a task
